@@ -67,10 +67,7 @@ impl ExecError {
     /// serving layer's circuit breaker counts). Timeouts, cancellations
     /// and deadlocks are query problems, not device problems.
     pub fn is_device_fault(&self) -> bool {
-        matches!(
-            self,
-            ExecError::Fault(_) | ExecError::DeviceLost(_) | ExecError::Oom(_)
-        )
+        self.fault_record().is_some()
     }
 }
 

@@ -4,13 +4,14 @@
 use crate::error::ExecError;
 use crate::gpl;
 use crate::ht::{GroupStore, SimHashTable};
-use crate::kbe;
 use crate::ops::sort_rows;
 use crate::plan::{QueryPlan, Stage, Terminal};
-use crate::recover::{RecoveryPolicy, RecoveryStats};
+use crate::recover::{self, drive, last_resort, Driven, RecoveryPolicy, RecoveryStats};
 use crate::segment::{overlap_pairs, InterSegmentEdge, SegmentIr};
+use crate::shard::{run_shard_attempt, ShardOut, Sharder};
+use gpl_obs::Value;
 use gpl_sim::{DeviceSpec, KernelDesc, LaunchProfile, ResourceUsage, Simulator, Work, WorkUnit};
-use gpl_storage::{TableLayout, Tiling};
+use gpl_storage::TableLayout;
 use gpl_tpch::{QueryOutput, TpchDb};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -263,19 +264,248 @@ pub fn try_run_query(
     try_run_query_recovering(ctx, plan, mode, config, limits, None)
 }
 
-/// A stage's blocking output, handed back only on success so a retried
-/// attempt can never observe (or double-apply into) a failed attempt's
-/// partial state.
-type StageOut = (
+/// Everything one attempt at a stage reads: the plan it belongs to, the
+/// stage and its lowering, its configuration, and the hash tables
+/// earlier stages installed.
+#[derive(Clone, Copy)]
+pub(crate) struct StageJob<'a> {
+    pub plan: &'a QueryPlan,
+    pub ir: &'a SegmentIr,
+    pub stage: &'a Stage,
+    pub cfg: &'a StageConfig,
+    pub hts: &'a [Option<Rc<RefCell<SimHashTable>>>],
+}
+
+/// A fused pair's blocking output: both stages' built tables and the
+/// probe side's aggregate store, if any.
+type PairOut = (
     LaunchProfile,
-    Option<(usize, Rc<RefCell<SimHashTable>>)>,
-    Option<Vec<Vec<i64>>>,
+    Vec<(usize, SimHashTable)>,
+    Option<GroupStore>,
 );
 
-/// [`try_run_query`] with the recovery stack enabled: per-stage retries
-/// with deterministic exponential backoff, graceful degradation down the
-/// GPL → GPL-w/o-CE → KBE ladder, and a disarmed last-resort KBE attempt
-/// (see [`crate::recover`]). `recovery: None` disables recovery.
+/// One single-device query run: its fixed inputs, and what it
+/// accumulates stage by stage.
+struct QueryState<'a> {
+    plan: &'a QueryPlan,
+    recovery: Option<&'a RecoveryPolicy>,
+    limits: &'a ExecLimits,
+    hts: Vec<Option<Rc<RefCell<SimHashTable>>>>,
+    agg_rows: Option<Vec<Vec<i64>>>,
+    merged: LaunchProfile,
+    per_stage: Vec<LaunchProfile>,
+    stats: RecoveryStats,
+}
+
+impl QueryState<'_> {
+    /// Simulated cycles charged so far: launches plus recovery waste.
+    fn spent(&self) -> u64 {
+        self.merged.elapsed_cycles + self.stats.wasted_cycles
+    }
+
+    /// Install blocking outputs — only ever from a successful attempt, so
+    /// a failed attempt's partial hash table or aggregate store drops
+    /// with its locals and can never leak into a retry.
+    fn install(
+        &mut self,
+        built: impl IntoIterator<Item = (usize, SimHashTable)>,
+        agg: Option<GroupStore>,
+    ) {
+        for (slot, ht) in built {
+            self.hts[slot] = Some(Rc::new(RefCell::new(ht)));
+        }
+        if let Some(store) = agg {
+            self.agg_rows = Some(store.into_rows());
+        }
+    }
+
+    /// Run `stage` (lowered to `ir`) through [`recover::drive`] down the
+    /// ladder from `mode` — slice by slice when the policy checkpoints
+    /// (see [`drive_checkpointed`]) — and install its outputs. The
+    /// exhaust rule of a stage: the disarmed last-resort KBE attempt when
+    /// `policy.fallback` is set, otherwise the last fault. Returns the
+    /// stage's cycles and the mode it finally ran on.
+    fn run_stage(
+        &mut self,
+        ctx: &mut ExecContext,
+        stage: &Stage,
+        ir: &SegmentIr,
+        cfg: &StageConfig,
+        mode: ExecMode,
+    ) -> Result<(u64, ExecMode), ExecError> {
+        let job = StageJob {
+            plan: self.plan,
+            ir,
+            stage,
+            cfg,
+            hts: &self.hts,
+        };
+        let whole = 0..ctx.db.table(&stage.driver).rows();
+        let attempt =
+            |ctx: &mut ExecContext, m| run_shard_attempt(ctx, job, m, std::slice::from_ref(&whole));
+        let rec = ctx.sim.recorder().cloned();
+        let (spent, limits, rec) = (self.merged.elapsed_cycles, self.limits, rec.as_ref());
+        let stats = &mut self.stats;
+        let ((profile, built, agg), ran_on) = match self.recovery {
+            None => (attempt(ctx, mode)?, mode),
+            Some(p) if p.checkpoint_slices >= 2 => {
+                drive_checkpointed(ctx, job, mode, p, limits, spent, stats)?
+            }
+            Some(p) => {
+                let ladder = p.ladder(mode);
+                match drive(
+                    ctx,
+                    &ladder,
+                    p,
+                    limits,
+                    spent,
+                    stats,
+                    rec,
+                    attempt,
+                    |_, _| {},
+                )? {
+                    Driven::Ran(out, m) => (out, m),
+                    Driven::Exhausted { last, .. } if !p.fallback => return Err(last),
+                    Driven::Exhausted { .. } => {
+                        (last_resort(ctx, stats, rec, attempt)?, ExecMode::Kbe)
+                    }
+                }
+            }
+        };
+        self.install(built, agg);
+        let cycles = profile.elapsed_cycles;
+        self.merged.merge(&profile);
+        self.per_stage.push(profile);
+        Ok((cycles, ran_on))
+    }
+
+    /// Run one eligible pair through the pipelined scheduler: fused
+    /// attempts through [`recover::drive`], then — the pair's exhaust
+    /// rule — degradation to the *sequential* pair, the two stages one
+    /// after the other through [`QueryState::run_stage`] starting at
+    /// GPL (or, without `fallback`, the last fault). The fused launch is
+    /// split back into per-stage views by segment tag so
+    /// `QueryRun::per_stage` keeps one entry per stage.
+    fn run_pair(
+        &mut self,
+        ctx: &mut ExecContext,
+        pair: &InterSegmentEdge,
+        config: &QueryConfig,
+    ) -> Result<(), ExecError> {
+        let plan = self.plan;
+        let (bi, pi) = (pair.build_stage, pair.probe_stage);
+        let (stage_b, stage_p) = (&plan.stages[bi], &plan.stages[pi]);
+        let (cfg_b, cfg_p) = (&config.stages[bi], &config.stages[pi]);
+        let wf = ctx.sim.spec().wavefront_size;
+        let ir_b = SegmentIr::lower(stage_b, ctx.db.table(&stage_b.driver), wf);
+        let ir_p = SegmentIr::lower(stage_p, ctx.db.table(&stage_p.driver), wf);
+        // Slice volume: the expected table size split K ways.
+        let Terminal::HashBuild { payloads, .. } = &stage_b.terminal else {
+            unreachable!("pair build stage must end in a hash build");
+        };
+        let expected = estimate_build_rows(ctx, stage_b) as u64;
+        let table_bytes = expected * 8 * (1 + payloads.len() as u64);
+        let edge = pair.clone().with_slices(cfg_b.overlap_slices, table_bytes);
+
+        let rec = ctx.sim.recorder().cloned();
+        let span = rec.as_ref().map(|r| {
+            let t = r.track("exec");
+            let s = r.begin(
+                t,
+                "stage",
+                format!("stage{bi}+{pi}:{}+{}", ir_b.driver, ir_p.driver),
+                ctx.sim.clock(),
+            );
+            r.arg(s, "overlap_slices", edge.slices);
+            r.arg(s, "slice_bytes", edge.slice_bytes);
+            r.arg(s, "kernels", ir_b.nodes.len() + ir_p.nodes.len());
+            s
+        });
+        let build = StageJob {
+            plan,
+            ir: &ir_b,
+            stage: stage_b,
+            cfg: cfg_b,
+            hts: &self.hts,
+        };
+        let probe = StageJob {
+            ir: &ir_p,
+            stage: stage_p,
+            cfg: cfg_p,
+            ..build
+        };
+        let fused = |ctx: &mut ExecContext, _| run_pair_attempt(ctx, &edge, build, probe);
+        let out = match self.recovery {
+            None => Some(fused(ctx, ExecMode::GplPipelined)?),
+            Some(policy) => match drive(
+                ctx,
+                &[ExecMode::GplPipelined],
+                policy,
+                self.limits,
+                self.merged.elapsed_cycles,
+                &mut self.stats,
+                rec.as_ref(),
+                fused,
+                |_, _| {},
+            )? {
+                Driven::Ran(out, _) => Some(out),
+                Driven::Exhausted { last, .. } if !policy.fallback => return Err(last),
+                Driven::Exhausted { .. } => None,
+            },
+        };
+        if let Some((profile, built, agg)) = out {
+            self.install(built, agg);
+            if let Some(r) = rec.as_ref() {
+                // The measured overlap window: where the two segments'
+                // kernel activity intersects.
+                if let (Some((a0, a1)), Some((b0, b1))) =
+                    (profile.segment_window(0), profile.segment_window(1))
+                {
+                    let (lo, hi) = (a0.max(b0), a1.min(b1));
+                    if lo < hi {
+                        let t = r.track("exec");
+                        r.span(
+                            t,
+                            "overlap",
+                            format!("overlap:slices={}", edge.slices),
+                            lo,
+                            hi,
+                            vec![("cycles", Value::from(hi - lo))],
+                        );
+                    }
+                }
+                if let Some(s) = span {
+                    r.arg(s, "stage_cycles", profile.elapsed_cycles);
+                    r.end(s, ctx.sim.clock());
+                }
+            }
+            self.merged.merge(&profile);
+            self.per_stage.extend(profile.split_by_segment(&[0, 1]));
+            return Ok(());
+        }
+        self.stats.fallbacks += 1;
+        self.stats.degraded_to = Some(ExecMode::Gpl);
+        recover::instant(
+            rec.as_ref(),
+            ctx,
+            "fallback",
+            vec![("to", Value::from("GPL (sequential pair)"))],
+        );
+        self.run_stage(ctx, stage_b, &ir_b, cfg_b, ExecMode::Gpl)?;
+        let (_, ran) = self.run_stage(ctx, stage_p, &ir_p, cfg_p, ExecMode::Gpl)?;
+        if let (Some(r), Some(s)) = (rec.as_ref(), span) {
+            r.arg(s, "degraded_to", ran.name());
+            r.end(s, ctx.sim.clock());
+        }
+        Ok(())
+    }
+}
+
+/// [`try_run_query`] with the recovery stack enabled: every stage (or
+/// fused pair) runs through [`recover::drive`] — per-stage retries with
+/// deterministic exponential backoff, graceful degradation down the
+/// GPL → GPL-w/o-CE → KBE ladder, and a disarmed last-resort KBE
+/// attempt. `recovery: None` disables recovery.
 ///
 /// Recovered runs return bit-identical rows to fault-free runs — faults
 /// cost cycles (`QueryRun::recovery.wasted_cycles`), never correctness.
@@ -305,11 +535,16 @@ pub fn try_run_query_recovering(
         r.arg(s, "stages", plan.stages.len());
         s
     });
-    let mut hts: Vec<Option<Rc<RefCell<SimHashTable>>>> = vec![None; plan.num_hts];
-    let mut agg_rows: Option<Vec<Vec<i64>>> = None;
-    let mut per_stage = Vec::new();
-    let mut merged = LaunchProfile::default();
-    let mut stats = RecoveryStats::default();
+    let mut st = QueryState {
+        plan,
+        recovery,
+        limits,
+        hts: vec![None; plan.num_hts],
+        agg_rows: None,
+        merged: LaunchProfile::default(),
+        per_stage: Vec::new(),
+        stats: RecoveryStats::default(),
+    };
 
     // Under GPL-pipelined, eligible build→probe pairs with a non-zero
     // overlap knob run fused; everything else takes the per-stage path.
@@ -320,25 +555,12 @@ pub fn try_run_query_recovering(
     };
     let mut idx = 0;
     while idx < plan.stages.len() {
-        limits.check(merged.elapsed_cycles + stats.wasted_cycles)?;
+        limits.check(st.spent())?;
         if let Some(pair) = pairs
             .iter()
             .find(|p| p.build_stage == idx && config.stages[p.build_stage].overlap_slices > 0)
         {
-            run_pair_recovering(
-                ctx,
-                plan,
-                pair,
-                config,
-                &mut hts,
-                &mut agg_rows,
-                recovery,
-                limits,
-                &mut stats,
-                rec.as_ref(),
-                &mut merged,
-                &mut per_stage,
-            )?;
+            st.run_pair(ctx, pair, config)?;
             idx += 2;
             continue;
         }
@@ -364,61 +586,75 @@ pub fn try_run_query_recovering(
             r.arg(s, "kernels", ir.nodes.len());
             s
         });
-        let spent = merged.elapsed_cycles;
-        let ((profile, built, rows_out), ran_on) = run_stage_recovering(
-            ctx,
-            plan,
-            &ir,
-            stage,
-            cfg,
-            mode,
-            &hts,
-            recovery,
-            limits,
-            spent,
-            &mut stats,
-            rec.as_ref(),
-        )?;
-        // Install the blocking outputs only now, on success: a failed
-        // attempt's partial hash table or aggregate store is dropped
-        // with its locals and can never leak into a retry.
-        if let Some((slot, ht)) = built {
-            hts[slot] = Some(ht);
-        }
-        if let Some(rows) = rows_out {
-            agg_rows = Some(rows);
-        }
+        let (cycles, ran_on) = st.run_stage(ctx, stage, &ir, cfg, mode)?;
         if let (Some(r), Some(s)) = (rec.as_ref(), stage_span) {
             if ran_on != mode {
                 r.arg(s, "degraded_to", ran_on.name());
             }
-            r.arg(s, "stage_cycles", profile.elapsed_cycles);
+            r.arg(s, "stage_cycles", cycles);
             r.end(s, ctx.sim.clock());
         }
-        merged.merge(&profile);
-        per_stage.push(profile);
         idx += 1;
     }
 
-    let mut rows = agg_rows.expect("plan must end in an aggregate stage");
-    limits.check(merged.elapsed_cycles + stats.wasted_cycles)?;
-    // Final ORDER BY, as a (blocking) sort kernel, then LIMIT. The sort
-    // runs over host-side result rows, outside the fault domain: disarm
-    // injection so the output path cannot strand a pending fault.
-    if !plan.order_by.is_empty() {
-        let was_armed = ctx.sim.faults_armed();
-        ctx.sim.set_faults_armed(false);
-        let prof = run_sort_kernel(ctx, &mut rows, &plan.order_by);
-        ctx.sim.set_faults_armed(was_armed);
-        merged.merge(&prof);
-        per_stage.push(prof);
-    } else {
-        sort_rows(&mut rows, &[]);
+    let mut rows = st
+        .agg_rows
+        .take()
+        .expect("plan must end in an aggregate stage");
+    limits.check(st.spent())?;
+    if let Some(prof) = sort_output(ctx, plan, &mut rows) {
+        st.merged.merge(&prof);
+        st.per_stage.push(prof);
     }
     // The final budget check: a query landing *exactly* on its budget
     // succeeds (`spent > budget` times out, `spent == budget` passes) —
     // the boundary `tests/fault_recovery.rs` pins at 1/2/8 workers.
-    limits.check(merged.elapsed_cycles + stats.wasted_cycles)?;
+    limits.check(st.spent())?;
+    let output = shape_output(plan, rows);
+
+    let stats = &st.stats;
+    if let (Some(r), Some(s)) = (rec.as_ref(), query_span) {
+        r.arg(s, "cycles", st.merged.elapsed_cycles);
+        if stats.eventful() {
+            r.arg(s, "faults", stats.faults.len());
+            r.arg(s, "retries", stats.retries);
+            r.arg(s, "fallbacks", stats.fallbacks);
+            r.arg(s, "wasted_cycles", stats.wasted_cycles);
+        }
+        r.end(s, ctx.sim.clock());
+    }
+    Ok(QueryRun {
+        output,
+        cycles: st.spent(),
+        profile: st.merged,
+        per_stage: st.per_stage,
+        recovery: st.stats,
+    })
+}
+
+/// The output path after the last stage: the plan's ORDER BY as a
+/// blocking sort kernel, whose profile is returned, or else the
+/// canonical full-row sort on the host. The sort runs over host-side
+/// result rows, outside the fault domain: injection is disarmed so the
+/// output path cannot strand a pending fault.
+pub(crate) fn sort_output(
+    ctx: &mut ExecContext,
+    plan: &QueryPlan,
+    rows: &mut [Vec<i64>],
+) -> Option<LaunchProfile> {
+    if plan.order_by.is_empty() {
+        sort_rows(rows, &[]);
+        return None;
+    }
+    let was_armed = ctx.sim.faults_armed();
+    ctx.sim.set_faults_armed(false);
+    let prof = run_sort_kernel(ctx, rows, &plan.order_by);
+    ctx.sim.set_faults_armed(was_armed);
+    Some(prof)
+}
+
+/// The plan's LIMIT and projection over sorted rows.
+pub(crate) fn shape_output(plan: &QueryPlan, mut rows: Vec<Vec<i64>>) -> QueryOutput {
     if let Some(limit) = plan.limit {
         rows.truncate(limit);
     }
@@ -428,82 +664,18 @@ pub fn try_run_query_recovering(
             .map(|r| proj.iter().map(|&i| r[i]).collect())
             .collect();
     }
-
-    if let (Some(r), Some(s)) = (rec.as_ref(), query_span) {
-        r.arg(s, "cycles", merged.elapsed_cycles);
-        if stats.eventful() {
-            r.arg(s, "faults", stats.faults.len());
-            r.arg(s, "retries", stats.retries);
-            r.arg(s, "fallbacks", stats.fallbacks);
-            r.arg(s, "wasted_cycles", stats.wasted_cycles);
-        }
-        r.end(s, ctx.sim.clock());
-    }
-    let output = QueryOutput::new(
+    QueryOutput::new(
         plan.output_columns.iter().map(String::as_str).collect(),
         rows,
-    );
-    Ok(QueryRun {
-        output,
-        cycles: merged.elapsed_cycles + stats.wasted_cycles,
-        profile: merged,
-        per_stage,
-        recovery: stats,
-    })
+    )
 }
 
-/// One attempt at one stage on one mode. Fresh blocking outputs (hash
-/// table / aggregate store) are created *per attempt*; the caller
-/// installs them into the query's state only on success. An injected
-/// fault surfaces as the corresponding [`ExecError`] variant.
-fn run_stage_attempt(
-    ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    ir: &SegmentIr,
-    stage: &Stage,
-    cfg: &StageConfig,
-    mode: ExecMode,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
-) -> Result<StageOut, ExecError> {
-    debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a stage");
-    let (build, agg) = make_blocking_outputs(ctx, plan, stage);
-
-    let rows = ctx.db.table(&stage.driver).rows();
-    let build_rc = build.as_ref().map(|(_, t)| t);
-    let profile = match mode {
-        ExecMode::Kbe => kbe::run_stage_range(ctx, ir, stage, hts, build_rc, agg.as_ref(), 0..rows),
-        ExecMode::GplNoCe => {
-            let tiling = Tiling::by_bytes(rows, ir.row_bytes, cfg.tile_bytes);
-            let mut p = LaunchProfile::default();
-            for tile in tiling.iter() {
-                p.merge(&kbe::run_stage_range(
-                    ctx,
-                    ir,
-                    stage,
-                    hts,
-                    build_rc,
-                    agg.as_ref(),
-                    tile,
-                ));
-            }
-            p
-        }
-        // A lone stage has no pair to overlap with: pipelined mode runs
-        // the plain GPL pipeline.
-        ExecMode::Gpl | ExecMode::GplPipelined => {
-            gpl::run_stage(ctx, ir, stage, hts, build_rc, agg.as_ref(), cfg)?
-        }
-    };
-    if let Some(record) = ctx.sim.take_fault() {
-        return Err(ExecError::from_fault(record));
-    }
-    let agg_rows = agg.map(|a| {
-        Rc::try_unwrap(a)
-            .expect("aggregate store still shared")
-            .into_inner()
-            .into_rows()
-    });
-    Ok((profile, build, agg_rows))
+/// Sole ownership of a blocking output once its launch has dropped
+/// every other handle.
+pub(crate) fn unshare<T>(rc: Rc<RefCell<T>>) -> T {
+    Rc::try_unwrap(rc)
+        .unwrap_or_else(|_| panic!("blocking output still shared"))
+        .into_inner()
 }
 
 /// Fresh blocking outputs (hash table / aggregate store) for one attempt
@@ -551,46 +723,25 @@ pub(crate) fn make_blocking_outputs(
 /// One fused attempt at an overlapped pair: both segments' kernels in a
 /// single launch, the shared hash table installed slice by slice and
 /// published through the inter-segment channel. Fresh blocking outputs
-/// per attempt, exactly like [`run_stage_attempt`] — so a mid-overlap
+/// per attempt, exactly like [`run_shard_attempt`] — so a mid-overlap
 /// fault can never double-publish or drop a slice: the retried attempt
 /// starts from nothing installed and nothing published.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn run_pair_attempt(
     ctx: &mut ExecContext,
-    plan: &QueryPlan,
     edge: &InterSegmentEdge,
-    ir_b: &SegmentIr,
-    cfg_b: &StageConfig,
-    ir_p: &SegmentIr,
-    cfg_p: &StageConfig,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
-) -> Result<
-    (
-        LaunchProfile,
-        Vec<(usize, Rc<RefCell<SimHashTable>>)>,
-        Option<Vec<Vec<i64>>>,
-    ),
-    ExecError,
-> {
+    build: StageJob,
+    probe: StageJob,
+) -> Result<PairOut, ExecError> {
     debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a pair");
-    let (stage_b, stage_p) = (
-        &plan.stages[edge.build_stage],
-        &plan.stages[edge.probe_stage],
-    );
-    let (shared_build, _) = make_blocking_outputs(ctx, plan, stage_b);
+    let (shared_build, _) = make_blocking_outputs(ctx, build.plan, build.stage);
     let (slot, shared) = shared_build.expect("pair build stage ends in a hash build");
     debug_assert_eq!(slot, edge.ht, "pair edge names the built table");
-    let (build_p, agg) = make_blocking_outputs(ctx, plan, stage_p);
+    let (build_p, agg) = make_blocking_outputs(ctx, probe.plan, probe.stage);
     let profile = gpl::run_overlapped_pair(
         ctx,
         edge,
-        ir_b,
-        stage_b,
-        cfg_b,
-        ir_p,
-        stage_p,
-        cfg_p,
-        hts,
+        build,
+        probe,
         &shared,
         build_p.as_ref().map(|(_, t)| t),
         agg.as_ref(),
@@ -598,519 +749,112 @@ fn run_pair_attempt(
     if let Some(record) = ctx.sim.take_fault() {
         return Err(ExecError::from_fault(record));
     }
-    let mut built = vec![(slot, shared)];
-    if let Some((s, t)) = build_p {
-        built.push((s, t));
-    }
-    let agg_rows = agg.map(|a| {
-        Rc::try_unwrap(a)
-            .expect("aggregate store still shared")
-            .into_inner()
-            .into_rows()
-    });
-    Ok((profile, built, agg_rows))
-}
-
-/// Drive one eligible pair through the pipelined scheduler: fused
-/// attempts with the policy's retry budget and deterministic backoff,
-/// then degradation to the *sequential* pair — the two stages run one
-/// after the other through the normal recovery ladder starting at GPL.
-/// Installs blocking outputs into `hts`/`agg_rows` only on success, and
-/// merges profiles (the fused launch is split back into per-stage views
-/// by segment tag so `QueryRun::per_stage` keeps one entry per stage).
-#[allow(clippy::too_many_arguments)]
-fn run_pair_recovering(
-    ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    pair: &InterSegmentEdge,
-    config: &QueryConfig,
-    hts: &mut [Option<Rc<RefCell<SimHashTable>>>],
-    agg_rows: &mut Option<Vec<Vec<i64>>>,
-    recovery: Option<&RecoveryPolicy>,
-    limits: &ExecLimits,
-    stats: &mut RecoveryStats,
-    rec: Option<&gpl_obs::Recorder>,
-    merged: &mut LaunchProfile,
-    per_stage: &mut Vec<LaunchProfile>,
-) -> Result<ExecMode, ExecError> {
-    let (bi, pi) = (pair.build_stage, pair.probe_stage);
-    let (stage_b, stage_p) = (&plan.stages[bi], &plan.stages[pi]);
-    let (cfg_b, cfg_p) = (&config.stages[bi], &config.stages[pi]);
-    let wf = ctx.sim.spec().wavefront_size;
-    let ir_b = SegmentIr::lower(stage_b, ctx.db.table(&stage_b.driver), wf);
-    let ir_p = SegmentIr::lower(stage_p, ctx.db.table(&stage_p.driver), wf);
-    // Slice volume: the expected table size split K ways.
-    let Terminal::HashBuild { payloads, .. } = &stage_b.terminal else {
-        unreachable!("pair build stage must end in a hash build");
-    };
-    let expected = estimate_build_rows(ctx, stage_b) as u64;
-    let table_bytes = expected * 8 * (1 + payloads.len() as u64);
-    let edge = pair.clone().with_slices(cfg_b.overlap_slices, table_bytes);
-
-    let span = rec.map(|r| {
-        let t = r.track("exec");
-        let s = r.begin(
-            t,
-            "stage",
-            format!("stage{bi}+{pi}:{}+{}", ir_b.driver, ir_p.driver),
-            ctx.sim.clock(),
-        );
-        r.arg(s, "overlap_slices", edge.slices);
-        r.arg(s, "slice_bytes", edge.slice_bytes);
-        r.arg(s, "kernels", ir_b.nodes.len() + ir_p.nodes.len());
-        s
-    });
-    let instant = |name: &str, args: Vec<(&'static str, gpl_obs::Value)>, ctx: &ExecContext| {
-        if let Some(r) = rec {
-            let t = r.track("recover");
-            r.instant(t, "recover", name, ctx.sim.clock(), args);
-        }
-    };
-    let spent = merged.elapsed_cycles;
-    let max_retries = recovery.map(|p| p.max_retries).unwrap_or(0);
-    for attempt in 0..=max_retries {
-        if attempt > 0 {
-            let policy = recovery.expect("retries imply a policy");
-            stats.retries += 1;
-            let delay = policy.backoff_for(attempt);
-            ctx.sim.advance(delay);
-            stats.backoff_cycles += delay;
-            stats.wasted_cycles += delay;
-            instant(
-                "retry",
-                vec![
-                    ("attempt", gpl_obs::Value::from(attempt)),
-                    ("backoff_cycles", gpl_obs::Value::from(delay)),
-                ],
-                ctx,
-            );
-        }
-        limits.check(spent + stats.wasted_cycles)?;
-        let c0 = ctx.sim.clock();
-        match run_pair_attempt(ctx, plan, &edge, &ir_b, cfg_b, &ir_p, cfg_p, hts) {
-            Ok((profile, built, rows)) => {
-                for (slot, t) in built {
-                    hts[slot] = Some(t);
-                }
-                if let Some(rows) = rows {
-                    *agg_rows = Some(rows);
-                }
-                if let Some(r) = rec {
-                    // The measured overlap window: where the two
-                    // segments' kernel activity intersects.
-                    if let (Some((a0, a1)), Some((b0, b1))) =
-                        (profile.segment_window(0), profile.segment_window(1))
-                    {
-                        let (lo, hi) = (a0.max(b0), a1.min(b1));
-                        if lo < hi {
-                            let t = r.track("exec");
-                            r.span(
-                                t,
-                                "overlap",
-                                format!("overlap:slices={}", edge.slices),
-                                lo,
-                                hi,
-                                vec![("cycles", gpl_obs::Value::from(hi - lo))],
-                            );
-                        }
-                    }
-                    if let Some(s) = span {
-                        r.arg(s, "stage_cycles", profile.elapsed_cycles);
-                        r.end(s, ctx.sim.clock());
-                    }
-                }
-                merged.merge(&profile);
-                per_stage.extend(profile.split_by_segment(&[0, 1]));
-                return Ok(ExecMode::GplPipelined);
-            }
-            Err(e) => {
-                let (record, lost) = match &e {
-                    ExecError::Fault(r) | ExecError::Oom(r) => (r.clone(), false),
-                    ExecError::DeviceLost(r) => (r.clone(), true),
-                    // Query problems, not device problems: propagate.
-                    _ => return Err(e),
-                };
-                stats.wasted_cycles += ctx.sim.clock().saturating_sub(c0);
-                instant(
-                    "fault",
-                    vec![
-                        ("kind", gpl_obs::Value::from(record.kind.name())),
-                        ("launch", gpl_obs::Value::from(record.launch)),
-                    ],
-                    ctx,
-                );
-                stats.faults.push(record);
-                if recovery.is_none() {
-                    return Err(e);
-                }
-                if lost {
-                    break;
-                }
-            }
-        }
-    }
-    let policy = recovery.expect("fused attempts exhausted implies a policy");
-    // Degrade to the sequential pair: both stages one after the other,
-    // each down the normal ladder starting at GPL.
-    stats.fallbacks += 1;
-    stats.degraded_to = Some(ExecMode::Gpl);
-    instant(
-        "fallback",
-        vec![("to", gpl_obs::Value::from("GPL (sequential pair)"))],
-        ctx,
-    );
-    let mut ran = ExecMode::Gpl;
-    for (ir, stage, cfg) in [(&ir_b, stage_b, cfg_b), (&ir_p, stage_p, cfg_p)] {
-        let spent = merged.elapsed_cycles;
-        let ((profile, built, rows), ran_on) = run_stage_recovering(
-            ctx,
-            plan,
-            ir,
-            stage,
-            cfg,
-            ExecMode::Gpl,
-            hts,
-            Some(policy),
-            limits,
-            spent,
-            stats,
-            rec,
-        )?;
-        if let Some((slot, t)) = built {
-            hts[slot] = Some(t);
-        }
-        if let Some(rows) = rows {
-            *agg_rows = Some(rows);
-        }
-        merged.merge(&profile);
-        per_stage.push(profile);
-        ran = ran_on;
-    }
-    if let (Some(r), Some(s)) = (rec, span) {
-        r.arg(s, "degraded_to", ran.name());
-        r.end(s, ctx.sim.clock());
-    }
-    Ok(ran)
-}
-
-/// Drive one stage through the recovery ladder (see [`crate::recover`]):
-/// `1 + max_retries` attempts per mode down the degradation chain, with
-/// deterministic backoff between same-mode attempts, then one disarmed
-/// last-resort KBE attempt. Device loss skips what is left of the armed
-/// ladder. Timeouts, cancellations and deadlocks propagate immediately.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_recovering(
-    ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    ir: &SegmentIr,
-    stage: &Stage,
-    cfg: &StageConfig,
-    mode: ExecMode,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
-    recovery: Option<&RecoveryPolicy>,
-    limits: &ExecLimits,
-    spent: u64,
-    stats: &mut RecoveryStats,
-    rec: Option<&gpl_obs::Recorder>,
-) -> Result<(StageOut, ExecMode), ExecError> {
-    let Some(policy) = recovery else {
-        return Ok((
-            run_stage_attempt(ctx, plan, ir, stage, cfg, mode, hts)?,
-            mode,
-        ));
-    };
-    if policy.checkpoint_slices >= 2 {
-        return run_stage_checkpointed(
-            ctx, plan, ir, stage, cfg, mode, hts, policy, limits, spent, stats, rec,
-        );
-    }
-    let instant = |name: &str, args: Vec<(&'static str, gpl_obs::Value)>, ctx: &ExecContext| {
-        if let Some(r) = rec {
-            let t = r.track("recover");
-            r.instant(t, "recover", name, ctx.sim.clock(), args);
-        }
-    };
-    let ladder = policy.ladder(mode);
-    let mut last_err: Option<ExecError> = None;
-    let mut first = true;
-    'modes: for &m in &ladder {
-        for attempt in 0..=policy.max_retries {
-            if !first {
-                if attempt == 0 {
-                    // Entering a degraded mode.
-                    stats.fallbacks += 1;
-                    stats.degraded_to = Some(m);
-                    instant(
-                        "fallback",
-                        vec![("to", gpl_obs::Value::from(m.name()))],
-                        ctx,
-                    );
-                } else {
-                    stats.retries += 1;
-                    let delay = policy.backoff_for(attempt);
-                    ctx.sim.advance(delay);
-                    stats.backoff_cycles += delay;
-                    stats.wasted_cycles += delay;
-                    instant(
-                        "retry",
-                        vec![
-                            ("attempt", gpl_obs::Value::from(attempt)),
-                            ("backoff_cycles", gpl_obs::Value::from(delay)),
-                        ],
-                        ctx,
-                    );
-                }
-            }
-            first = false;
-            limits.check(spent + stats.wasted_cycles)?;
-            let c0 = ctx.sim.clock();
-            match run_stage_attempt(ctx, plan, ir, stage, cfg, m, hts) {
-                Ok(out) => return Ok((out, m)),
-                Err(e) => {
-                    let device_lost = matches!(e, ExecError::DeviceLost(_));
-                    match &e {
-                        ExecError::Fault(record)
-                        | ExecError::Oom(record)
-                        | ExecError::DeviceLost(record) => {
-                            stats.wasted_cycles += ctx.sim.clock().saturating_sub(c0);
-                            instant(
-                                "fault",
-                                vec![
-                                    ("kind", gpl_obs::Value::from(record.kind.name())),
-                                    ("launch", gpl_obs::Value::from(record.launch)),
-                                ],
-                                ctx,
-                            );
-                            stats.faults.push(record.clone());
-                            last_err = Some(e);
-                        }
-                        // Query problems, not device problems: propagate.
-                        _ => return Err(e),
-                    }
-                    if device_lost {
-                        // Retrying a lost device is futile; go straight
-                        // to the disarmed last resort (if any).
-                        break 'modes;
-                    }
-                }
-            }
-        }
-    }
-    if policy.fallback {
-        // Last resort: KBE with injection disarmed — the hardened path
-        // outside the faulty device's blast radius (the CPU-fallback
-        // analogue). Guarantees termination even at fault rate 1.
-        stats.fallbacks += 1;
-        stats.degraded_to = Some(ExecMode::Kbe);
-        instant(
-            "fallback",
-            vec![("to", gpl_obs::Value::from("KBE (disarmed)"))],
-            ctx,
-        );
-        let was_armed = ctx.sim.faults_armed();
-        ctx.sim.set_faults_armed(false);
-        let result = run_stage_attempt(ctx, plan, ir, stage, cfg, ExecMode::Kbe, hts);
-        ctx.sim.set_faults_armed(was_armed);
-        return Ok((result?, ExecMode::Kbe));
-    }
-    Err(last_err.expect("at least one attempt ran"))
+    let built = std::iter::once((slot, shared)).chain(build_p);
+    let built = built.map(|(slot, t)| (slot, unshare(t))).collect();
+    Ok((profile, built, agg.map(unshare)))
 }
 
 /// Slice-checkpoint execution of one stage (DESIGN.md §11): the driving
 /// relation splits into `RecoveryPolicy::checkpoint_slices` contiguous
-/// row slices, each run through the per-slice recovery ladder into
-/// *fresh* per-slice blocking outputs that merge into the stage's
-/// accumulated state only on success — the launch-admission invariant
-/// applied per slice. After every merge, a content checkpoint (the
-/// accumulated hash-table / group-store fingerprint) is recorded; a
-/// faulted slice re-verifies the accumulated state against the last
-/// checkpoint and retries *only itself*, so a mid-stage fault resumes
-/// from the last verified slice instead of row 0. Rows are
+/// row slices, each driven through the ladder into *fresh* per-slice
+/// blocking outputs that merge into the stage's accumulated state only
+/// on success — the launch-admission invariant applied per slice. After
+/// every merge, a content checkpoint (the accumulated hash-table /
+/// group-store fingerprint) is recorded; a fault re-verifies the
+/// accumulated state against the last checkpoint and retries *only its
+/// slice*, so a mid-stage fault resumes from the last verified slice
+/// instead of row 0. A slice's exhaust rule is the stage's. Rows are
 /// bit-identical to the unsliced stage (disjoint ranges union exactly —
 /// the same facts the shard merge relies on); only cycles differ.
-#[allow(clippy::too_many_arguments)]
-fn run_stage_checkpointed(
+fn drive_checkpointed(
     ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    ir: &SegmentIr,
-    stage: &Stage,
-    cfg: &StageConfig,
+    job: StageJob,
     mode: ExecMode,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
     policy: &RecoveryPolicy,
     limits: &ExecLimits,
     spent: u64,
     stats: &mut RecoveryStats,
-    rec: Option<&gpl_obs::Recorder>,
-) -> Result<(StageOut, ExecMode), ExecError> {
-    let instant = |name: &str, args: Vec<(&'static str, gpl_obs::Value)>, ctx: &ExecContext| {
-        if let Some(r) = rec {
-            let t = r.track("recover");
-            r.instant(t, "recover", name, ctx.sim.clock(), args);
-        }
-    };
-    let rows = ctx.db.table(&stage.driver).rows();
-    let slices: Vec<std::ops::Range<usize>> = crate::shard::Sharder::Range
+) -> Result<(ShardOut, ExecMode), ExecError> {
+    let rec = ctx.sim.recorder().cloned();
+    let rec = rec.as_ref();
+    let rows = ctx.db.table(&job.stage.driver).rows();
+    let slices = Sharder::Range
         .partition(rows, policy.checkpoint_slices as usize)
         .into_iter()
-        .flatten()
-        .collect();
+        .flatten();
     // Accumulated blocking state: created ONCE and kept across slice
     // attempts — sound because a faulted slice attempt only ever built
     // its own (dropped) per-slice outputs.
-    let (build, agg) = make_blocking_outputs(ctx, plan, stage);
-    let acc_fingerprint = |build: &Option<(usize, Rc<RefCell<SimHashTable>>)>,
-                           agg: &Option<Rc<RefCell<GroupStore>>>| {
-        match (build, agg) {
-            (Some((_, t)), _) => t.borrow().fingerprint(),
-            (_, Some(a)) => a.borrow().fingerprint(),
-            _ => unreachable!("a stage ends in a build or an aggregate"),
-        }
+    let (build, agg) = make_blocking_outputs(ctx, job.plan, job.stage);
+    let fingerprint = || match (&build, &agg) {
+        (Some((_, t)), _) => t.borrow().fingerprint(),
+        (_, Some(a)) => a.borrow().fingerprint(),
+        _ => unreachable!("a stage ends in a build or an aggregate"),
     };
-    let mut checkpoint = acc_fingerprint(&build, &agg);
-    let mut verified = 0u64; // slices merged and checksummed
+    let mut checkpoint = fingerprint();
     let mut kept_cycles = 0u64; // useful cycles the checkpoints protect
     let mut profile = LaunchProfile::default();
     let mut ran_on = mode;
-    let full_ladder = policy.ladder(mode);
+    let ladder = policy.ladder(mode);
 
-    for slice in &slices {
-        let part = [slice.clone()];
-        let mut last_err: Option<ExecError> = None;
-        let mut first = true;
-        let mut slice_done = false;
-        'modes: for &m in &full_ladder {
-            for attempt in 0..=policy.max_retries {
-                if !first {
-                    if attempt == 0 {
-                        stats.fallbacks += 1;
-                        stats.degraded_to = Some(m);
-                        instant(
-                            "fallback",
-                            vec![("to", gpl_obs::Value::from(m.name()))],
-                            ctx,
-                        );
-                    } else {
-                        stats.retries += 1;
-                        let delay = policy.backoff_for(attempt);
-                        ctx.sim.advance(delay);
-                        stats.backoff_cycles += delay;
-                        stats.wasted_cycles += delay;
-                        instant(
-                            "retry",
-                            vec![
-                                ("attempt", gpl_obs::Value::from(attempt)),
-                                ("backoff_cycles", gpl_obs::Value::from(delay)),
-                            ],
-                            ctx,
-                        );
-                    }
+    for (verified, slice) in slices.enumerate() {
+        // Slices merged and checksummed so far.
+        let verified = verified as u64;
+        let part = [slice];
+        let attempt = |ctx: &mut ExecContext, m| {
+            let c0 = ctx.sim.clock();
+            let out = run_shard_attempt(ctx, job, m, &part)?;
+            Ok((out, ctx.sim.clock().saturating_sub(c0)))
+        };
+        // Partial-progress resume: the completed slices stay. Verify them
+        // against the last checkpoint before continuing — a failed
+        // attempt must not have touched the accumulated state.
+        let driven = drive(
+            ctx,
+            &ladder,
+            policy,
+            limits,
+            spent,
+            stats,
+            rec,
+            attempt,
+            |ctx, stats| {
+                if verified > 0 {
+                    assert_eq!(
+                        fingerprint(),
+                        checkpoint,
+                        "accumulated state diverged from its checkpoint"
+                    );
+                    stats.resumed_slices += verified;
+                    stats.checkpoint_saved_cycles += kept_cycles;
+                    let args = vec![
+                        ("from_slice", Value::from(verified)),
+                        ("saved_cycles", Value::from(kept_cycles)),
+                    ];
+                    recover::instant(rec, ctx, "resume", args);
                 }
-                first = false;
-                limits.check(spent + stats.wasted_cycles)?;
-                let c0 = ctx.sim.clock();
-                match crate::shard::run_shard_attempt(ctx, plan, ir, stage, cfg, m, hts, &part) {
-                    Ok((sp, sbuilt, sagg)) => {
-                        merge_slice(&build, &agg, sbuilt, sagg);
-                        checkpoint = acc_fingerprint(&build, &agg);
-                        verified += 1;
-                        kept_cycles += ctx.sim.clock().saturating_sub(c0);
-                        profile.merge(&sp);
-                        if m != mode {
-                            ran_on = m;
-                        }
-                        slice_done = true;
-                        break 'modes;
-                    }
-                    Err(e) => {
-                        let device_lost = matches!(e, ExecError::DeviceLost(_));
-                        match &e {
-                            ExecError::Fault(record)
-                            | ExecError::Oom(record)
-                            | ExecError::DeviceLost(record) => {
-                                stats.wasted_cycles += ctx.sim.clock().saturating_sub(c0);
-                                instant(
-                                    "fault",
-                                    vec![
-                                        ("kind", gpl_obs::Value::from(record.kind.name())),
-                                        ("launch", gpl_obs::Value::from(record.launch)),
-                                    ],
-                                    ctx,
-                                );
-                                stats.faults.push(record.clone());
-                                last_err = Some(e);
-                                // Partial-progress resume: the completed
-                                // slices stay. Verify them against the
-                                // last checkpoint before continuing —
-                                // a failed attempt must not have touched
-                                // the accumulated state.
-                                if verified > 0 {
-                                    assert_eq!(
-                                        acc_fingerprint(&build, &agg),
-                                        checkpoint,
-                                        "accumulated state diverged from its checkpoint"
-                                    );
-                                    stats.resumed_slices += verified;
-                                    stats.checkpoint_saved_cycles += kept_cycles;
-                                    instant(
-                                        "resume",
-                                        vec![
-                                            ("from_slice", gpl_obs::Value::from(verified)),
-                                            ("saved_cycles", gpl_obs::Value::from(kept_cycles)),
-                                        ],
-                                        ctx,
-                                    );
-                                }
-                            }
-                            _ => return Err(e),
-                        }
-                        if device_lost {
-                            break 'modes;
-                        }
-                    }
-                }
+            },
+        )?;
+        let ((sp, sbuilt, sagg), kept, m) = match driven {
+            Driven::Ran((out, cycles), m) => (out, cycles, m),
+            Driven::Exhausted { last, .. } if !policy.fallback => return Err(last),
+            // Only slices the ladder finished count as protected work.
+            Driven::Exhausted { .. } => {
+                let (out, _) = last_resort(ctx, stats, rec, attempt)?;
+                (out, 0, ExecMode::Kbe)
             }
-        }
-        if !slice_done {
-            if !policy.fallback {
-                return Err(last_err.expect("at least one attempt ran"));
-            }
-            stats.fallbacks += 1;
-            stats.degraded_to = Some(ExecMode::Kbe);
-            instant(
-                "fallback",
-                vec![("to", gpl_obs::Value::from("KBE (disarmed)"))],
-                ctx,
-            );
-            let was_armed = ctx.sim.faults_armed();
-            ctx.sim.set_faults_armed(false);
-            let result = crate::shard::run_shard_attempt(
-                ctx,
-                plan,
-                ir,
-                stage,
-                cfg,
-                ExecMode::Kbe,
-                hts,
-                &part,
-            );
-            ctx.sim.set_faults_armed(was_armed);
-            let (sp, sbuilt, sagg) = result?;
-            merge_slice(&build, &agg, sbuilt, sagg);
-            checkpoint = acc_fingerprint(&build, &agg);
-            verified += 1;
-            profile.merge(&sp);
-            ran_on = ExecMode::Kbe;
+        };
+        merge_slice(&build, &agg, sbuilt, sagg);
+        checkpoint = fingerprint();
+        kept_cycles += kept;
+        profile.merge(&sp);
+        if m != mode {
+            ran_on = m;
         }
     }
 
-    let agg_rows = agg.map(|a| {
-        Rc::try_unwrap(a)
-            .expect("aggregate store still shared")
-            .into_inner()
-            .into_rows()
-    });
-    Ok(((profile, build, agg_rows), ran_on))
+    let built = build.map(|(slot, t)| (slot, unshare(t)));
+    Ok(((profile, built, agg.map(unshare)), ran_on))
 }
 
 /// Merge one verified slice's owned blocking outputs into the stage's
@@ -1177,7 +921,7 @@ fn estimate_build_rows(ctx: &ExecContext, stage: &Stage) -> usize {
 
 /// Simulate the final sort: a blocking bitonic-style kernel over the
 /// (small) aggregate output.
-pub(crate) fn run_sort_kernel(
+fn run_sort_kernel(
     ctx: &mut ExecContext,
     rows: &mut [Vec<i64>],
     order: &[(usize, bool)],

@@ -13,7 +13,7 @@
 //! with KBE.
 
 use crate::error::ExecError;
-use crate::exec::{ExecContext, StageConfig};
+use crate::exec::{ExecContext, StageConfig, StageJob};
 use crate::expr::{Expr, Pred, Slot};
 use crate::ht::{GroupStore, SimHashTable};
 use crate::ops::{self, apply_compute, apply_filter, apply_probe, Chunk};
@@ -919,7 +919,7 @@ struct PublishSide {
 }
 
 /// Assemble one stage's kernels wired to freshly created channels —
-/// everything [`run_stage`] does short of launching. `segment` tags each
+/// everything [`run_stage_range`] does short of launching. `segment` tags each
 /// kernel for fused multi-segment launches; `publish` swaps the blocking
 /// hash-build terminal for the slice-publishing variant, and `gate`
 /// attaches slice-gated admission to the kernel at the given node index.
@@ -1120,60 +1120,30 @@ fn stage_kernels(
     Ok(kernels)
 }
 
-/// Run one stage as a GPL pipeline, launching the kernels and channels
-/// its lowered [`SegmentIr`] describes (`ir` must be the lowering of
-/// `stage` at this context's wavefront). The channel pipeline is the
-/// only execution path whose kernels can block on each other, so it is
-/// the only one that can deadlock — hence the `Result`; KBE and replay
-/// kernels never return `Work::Wait` and stay infallible.
-pub(crate) fn run_stage(
-    ctx: &mut ExecContext,
-    ir: &SegmentIr,
-    stage: &Stage,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
-    build: Option<&Rc<RefCell<SimHashTable>>>,
-    agg: Option<&Rc<RefCell<GroupStore>>>,
-    cfg: &StageConfig,
-) -> Result<LaunchProfile, ExecError> {
-    let kernels = stage_kernels(
-        ctx,
-        ir,
-        stage,
-        hts,
-        build,
-        agg,
-        cfg,
-        0,
-        usize::MAX,
-        None,
-        None,
-        None,
-    )?;
-    ctx.run_kernels(kernels)
-}
-
-/// [`run_stage`] over one shard of the driving relation: the leaf scans
-/// only `rows`, tiling within the shard; everything downstream is
-/// unchanged. With `rows == 0..t.rows()` this is exactly `run_stage`.
-#[allow(clippy::too_many_arguments)]
+/// Run one stage as a GPL pipeline over `rows` of its driving relation,
+/// launching the kernels and channels its lowered [`SegmentIr`]
+/// describes (`job.ir` must be the lowering of `job.stage` at this
+/// context's wavefront). The leaf scans only `rows`, tiling within them,
+/// so one entry point serves a whole stage (`0..rows`), a shard and a
+/// checkpoint slice. The channel pipeline is the only execution path
+/// whose kernels can block on each other, so it is the only one that
+/// can deadlock — hence the `Result`; KBE and replay kernels never
+/// return `Work::Wait` and stay infallible.
 pub(crate) fn run_stage_range(
     ctx: &mut ExecContext,
-    ir: &SegmentIr,
-    stage: &Stage,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
+    job: StageJob,
     build: Option<&Rc<RefCell<SimHashTable>>>,
     agg: Option<&Rc<RefCell<GroupStore>>>,
-    cfg: &StageConfig,
     rows: std::ops::Range<usize>,
 ) -> Result<LaunchProfile, ExecError> {
     let kernels = stage_kernels(
         ctx,
-        ir,
-        stage,
-        hts,
+        job.ir,
+        job.stage,
+        job.hts,
         build,
         agg,
-        cfg,
+        job.cfg,
         0,
         usize::MAX,
         Some(rows),
@@ -1191,21 +1161,17 @@ pub(crate) fn run_stage_range(
 /// running the stages sequentially — terminals are order-insensitive,
 /// so gating-induced reordering cannot change them — while the probe
 /// leaf's scan and the early slices' probes overlap the build tail.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_overlapped_pair(
     ctx: &mut ExecContext,
     edge: &InterSegmentEdge,
-    ir_b: &SegmentIr,
-    stage_b: &Stage,
-    cfg_b: &StageConfig,
-    ir_p: &SegmentIr,
-    stage_p: &Stage,
-    cfg_p: &StageConfig,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
+    build: StageJob,
+    probe: StageJob,
     shared: &Rc<RefCell<SimHashTable>>,
     probe_build: Option<&Rc<RefCell<SimHashTable>>>,
     agg: Option<&Rc<RefCell<GroupStore>>>,
 ) -> Result<LaunchProfile, ExecError> {
+    let (ir_b, stage_b, cfg_b) = (build.ir, build.stage, build.cfg);
+    let (ir_p, stage_p, cfg_p) = (probe.ir, probe.stage, probe.cfg);
     let slices = edge.slices.max(1);
     // The publication channel: one port, one packet per slice record.
     let pub_ch = ctx
@@ -1240,7 +1206,7 @@ pub(crate) fn run_overlapped_pair(
         ctx,
         ir_b,
         stage_b,
-        hts,
+        build.hts,
         Some(shared),
         None,
         &cfg_b_fused,
@@ -1258,7 +1224,7 @@ pub(crate) fn run_overlapped_pair(
 
     // The probe side resolves the pair's table to the shared (still
     // installing) instance.
-    let mut hts_p: Vec<Option<Rc<RefCell<SimHashTable>>>> = hts.to_vec();
+    let mut hts_p: Vec<Option<Rc<RefCell<SimHashTable>>>> = probe.hts.to_vec();
     hts_p[edge.ht] = Some(shared.clone());
     let gk = ir_p
         .nodes
@@ -1299,7 +1265,7 @@ pub(crate) fn run_overlapped_pair(
 mod tests {
     use super::*;
     use crate::exec::{ExecContext, StageConfig};
-    use crate::plan::{listing1_plan, q14_plan};
+    use crate::plan::{listing1_plan, q14_plan, QueryPlan};
     use gpl_sim::amd_a10;
     use gpl_storage::days;
     use gpl_tpch::{Q14Params, TpchDb};
@@ -1320,6 +1286,29 @@ mod tests {
         )
     }
 
+    /// Stage `idx` of `plan` over its whole driving relation, as a GPL
+    /// pipeline with the default configuration.
+    fn run_whole(
+        ctx: &mut ExecContext,
+        plan: &QueryPlan,
+        idx: usize,
+        hts: &[Option<Rc<RefCell<SimHashTable>>>],
+        build: Option<&Rc<RefCell<SimHashTable>>>,
+        agg: Option<&Rc<RefCell<GroupStore>>>,
+    ) -> LaunchProfile {
+        let stage = &plan.stages[idx];
+        let (ir, cfg) = (ir_for(ctx, stage), cfg(stage));
+        let rows = ctx.db.table(&stage.driver).rows();
+        let job = StageJob {
+            plan,
+            ir: &ir,
+            stage,
+            cfg: &cfg,
+            hts,
+        };
+        run_stage_range(ctx, job, build, agg, 0..rows).unwrap()
+    }
+
     #[test]
     fn listing1_pipeline_matches_reference_and_figure7() {
         let mut ctx = ctx();
@@ -1336,8 +1325,7 @@ mod tests {
             1,
             "t",
         )));
-        let ir = ir_for(&ctx, stage);
-        let p = run_stage(&mut ctx, &ir, stage, &[], None, Some(&agg), &cfg(stage)).unwrap();
+        let p = run_whole(&mut ctx, &plan, 0, &[], None, Some(&agg));
         let got = Rc::try_unwrap(agg).unwrap().into_inner().into_rows();
         let want = gpl_tpch::reference::listing1(&ctx.db, cutoff);
         assert_eq!(got, want.rows);
@@ -1356,9 +1344,7 @@ mod tests {
             1,
             "part",
         )));
-        let s0 = &plan.stages[0];
-        let ir0 = ir_for(&ctx, s0);
-        run_stage(&mut ctx, &ir0, s0, &[], Some(&ht), None, &cfg(s0)).unwrap();
+        run_whole(&mut ctx, &plan, 0, &[], Some(&ht), None);
         assert_eq!(ht.borrow().len(), ctx.db.part.rows());
 
         let hts = vec![Some(ht)];
@@ -1369,11 +1355,9 @@ mod tests {
             2,
             "t",
         )));
-        let s1 = &plan.stages[1];
         // Q14's probe pipeline: leaf map, probe(+fused maps), reduce.
-        assert_eq!(s1.gpl_kernel_names().len(), 3);
-        let ir1 = ir_for(&ctx, s1);
-        run_stage(&mut ctx, &ir1, s1, &hts, None, Some(&agg), &cfg(s1)).unwrap();
+        assert_eq!(plan.stages[1].gpl_kernel_names().len(), 3);
+        run_whole(&mut ctx, &plan, 1, &hts, None, Some(&agg));
         let got = Rc::try_unwrap(agg).unwrap().into_inner().into_rows();
         let want = gpl_tpch::reference::q14(&ctx.db, params);
         assert_eq!(got, want.rows);
@@ -1404,22 +1388,23 @@ mod tests {
             )));
             let (s0, s1) = (&plan.stages[0], &plan.stages[1]);
             let (ir0, ir1) = (ir_for(&ctx, s0), ir_for(&ctx, s1));
+            let (cfg0, cfg1) = (cfg(s0), cfg(s1));
             let hts: Vec<Option<Rc<RefCell<SimHashTable>>>> = vec![None];
-            let p = run_overlapped_pair(
-                &mut ctx,
-                &edge,
-                &ir0,
-                s0,
-                &cfg(s0),
-                &ir1,
-                s1,
-                &cfg(s1),
-                &hts,
-                &ht,
-                None,
-                Some(&agg),
-            )
-            .unwrap();
+            let build = StageJob {
+                plan: &plan,
+                ir: &ir0,
+                stage: s0,
+                cfg: &cfg0,
+                hts: &hts,
+            };
+            let probe = StageJob {
+                ir: &ir1,
+                stage: s1,
+                cfg: &cfg1,
+                ..build
+            };
+            let p =
+                run_overlapped_pair(&mut ctx, &edge, build, probe, &ht, None, Some(&agg)).unwrap();
             assert_eq!(ht.borrow().len(), ctx.db.part.rows());
             let got = Rc::try_unwrap(agg).unwrap().into_inner().into_rows();
             let want = gpl_tpch::reference::q14(&ctx.db, params);
@@ -1450,8 +1435,7 @@ mod tests {
 
         let mut c2 = ctx();
         let agg2 = Rc::new(RefCell::new(GroupStore::new(&mut c2.sim.mem, 4, 0, 1, "t")));
-        let ir = ir_for(&c2, stage);
-        let gpl_prof = run_stage(&mut c2, &ir, stage, &[], None, Some(&agg2), &cfg(stage)).unwrap();
+        let gpl_prof = run_whole(&mut c2, &plan, 0, &[], None, Some(&agg2));
 
         assert!(
             gpl_prof.intermediate_footprint() < kbe_prof.intermediate_footprint() / 4,

@@ -30,15 +30,14 @@
 
 use crate::error::ExecError;
 use crate::exec::{
-    make_blocking_outputs, run_sort_kernel, ExecContext, ExecLimits, ExecMode, QueryConfig,
-    StageConfig,
+    make_blocking_outputs, shape_output, sort_output, unshare, ExecContext, ExecLimits, ExecMode,
+    QueryConfig, StageJob,
 };
 use crate::gpl;
 use crate::ht::{mix64, GroupStore, SimHashTable};
 use crate::kbe;
-use crate::ops::sort_rows;
-use crate::plan::{QueryPlan, Stage, Terminal};
-use crate::recover::{RecoveryPolicy, RecoveryStats};
+use crate::plan::{QueryPlan, Terminal};
+use crate::recover::{drive, last_resort, Driven, RecoveryPolicy, RecoveryStats};
 use crate::segment::SegmentIr;
 use gpl_sim::{DeviceSpec, FaultPlan, FaultSpec, LaunchProfile};
 use gpl_storage::Tiling;
@@ -528,47 +527,71 @@ pub fn try_run_query_sharded(
                 .filter(|&d| alive[d] && !cands.contains(&d))
                 .collect();
             cands.extend(extra);
-            let mut last_err: Option<ExecError> = None;
-            // (device, output, observed cycles, clock at attempt start)
-            let mut winner: Option<(usize, ShardOut, u64, u64)> = None;
-            for (ci, &dev) in cands.iter().enumerate() {
-                let reassigned = ci > 0;
-                if reassigned {
-                    stats.fallbacks += 1;
-                }
-                let dev_is_last = ci + 1 == cands.len();
-                let a0 = ctxs[dev].sim.clock();
-                match run_shard_on_device(
-                    &mut ctxs[dev],
+            // One shard on one device, through the recovery ladder on
+            // that device's clock. The shard's exhaust rule: device loss
+            // goes back to the caller for reassignment, and the disarmed
+            // last resort runs only where `last_resort_here` allows it
+            // or when the device survived.
+            let run_on = |ctx: &mut ExecContext,
+                          dev: usize,
+                          stats: &mut RecoveryStats,
+                          last_resort_here: bool| {
+                let job = StageJob {
                     plan,
-                    &irs[dev],
+                    ir: &irs[dev],
                     stage,
-                    &assignment.configs[dev].stages[sidx],
-                    mode,
-                    &hts[dev],
-                    part,
-                    recovery,
+                    cfg: &assignment.configs[dev].stages[sidx],
+                    hts: &hts[dev],
+                };
+                let attempt = |ctx: &mut ExecContext, m| run_shard_attempt(ctx, job, m, part);
+                let Some(p) = recovery else {
+                    return attempt(ctx, mode);
+                };
+                let ladder = p.ladder(mode);
+                match drive(
+                    ctx,
+                    &ladder,
+                    p,
                     limits,
                     total,
-                    &mut stats,
+                    stats,
+                    None,
+                    attempt,
+                    |_, _| {},
+                )? {
+                    Driven::Ran(out, _) => Ok(out),
+                    Driven::Exhausted { last, lost }
+                        if !p.fallback || (lost && !last_resort_here) =>
+                    {
+                        Err(last)
+                    }
+                    Driven::Exhausted { .. } => last_resort(ctx, stats, None, attempt),
+                }
+            };
+            // The first candidate to finish wins: (device, output,
+            // observed cycles, clock at attempt start).
+            let mut lost = None;
+            let (mut wdev, mut out, observed, p0) = 'won: {
+                for (ci, &dev) in cands.iter().enumerate() {
+                    if ci > 0 {
+                        stats.fallbacks += 1; // reassigned
+                    }
                     // The disarmed last resort belongs to the final
                     // candidate only; earlier losses reassign instead.
-                    dev_is_last || exhausted,
-                ) {
-                    Ok(out) => {
-                        let observed = ctxs[dev].sim.clock().saturating_sub(a0);
-                        winner = Some((dev, out, observed, a0));
-                        break;
+                    let last_resort_here = ci + 1 == cands.len() || exhausted;
+                    let a0 = ctxs[dev].sim.clock();
+                    match run_on(&mut ctxs[dev], dev, &mut stats, last_resort_here) {
+                        Ok(out) => {
+                            break 'won (dev, out, ctxs[dev].sim.clock().saturating_sub(a0), a0)
+                        }
+                        Err(e @ ExecError::DeviceLost(_)) => {
+                            alive[dev] = false;
+                            lost = Some(e);
+                        }
+                        Err(e) => return Err(e),
                     }
-                    Err(e @ ExecError::DeviceLost(_)) => {
-                        alive[dev] = false;
-                        last_err = Some(e);
-                    }
-                    Err(e) => return Err(e),
                 }
-            }
-            let Some((mut wdev, mut out, observed, p0)) = winner else {
-                return Err(last_err.expect("at least one candidate attempted"));
+                return Err(lost.expect("at least one candidate attempted"));
             };
 
             // Straggler hedging: the shard finished, but did it finish
@@ -586,24 +609,16 @@ pub fn try_run_query_sharded(
             // winner's finish (cancellation). Duplicate cycles land in
             // `wasted_cycles`, charged against `limits` like retry
             // waste.
-            if let Some(h) = hedge {
+            if let Some((h, row)) = hedge.and_then(|h| Some((h, h.modeled.get(sidx)?))) {
                 let part_rows: usize = part.iter().map(|r| r.len()).sum();
-                let modeled_row = h.modeled.get(sidx);
-                let modeled_p = modeled_row
-                    .and_then(|row| row.get(wdev))
-                    .copied()
-                    .unwrap_or(f64::INFINITY);
+                let modeled_p = row.get(wdev).copied().unwrap_or(f64::INFINITY);
                 let deadline = modeled_p * h.threshold;
                 if part_rows > 0 && modeled_p.is_finite() && (observed as f64) > deadline {
                     let backup = (0..n)
-                        .filter(|&d| d != wdev && alive[d])
-                        .filter(|&d| modeled_row.is_some_and(|row| row[d].is_finite()))
-                        .min_by(|&a, &b| {
-                            let row = modeled_row.expect("filtered on modeled_row");
-                            row[a].total_cmp(&row[b])
-                        });
+                        .filter(|&d| d != wdev && alive[d] && row[d].is_finite())
+                        .min_by(|&a, &b| row[a].total_cmp(&row[b]));
                     let affordable = backup.is_some_and(|b| {
-                        let modeled_b = (modeled_row.expect("backup implies row")[b]).ceil() as u64;
+                        let modeled_b = row[b].ceil() as u64;
                         limits
                             .max_cycles
                             .is_none_or(|budget| total + stats.wasted_cycles + modeled_b <= budget)
@@ -611,21 +626,7 @@ pub fn try_run_query_sharded(
                     if let (Some(b), true) = (backup, affordable) {
                         stats.hedges += 1;
                         let b0 = ctxs[b].sim.clock();
-                        match run_shard_on_device(
-                            &mut ctxs[b],
-                            plan,
-                            &irs[b],
-                            stage,
-                            &assignment.configs[b].stages[sidx],
-                            mode,
-                            &hts[b],
-                            part,
-                            recovery,
-                            limits,
-                            total,
-                            &mut stats,
-                            false,
-                        ) {
+                        match run_on(&mut ctxs[b], b, &mut stats, false) {
                             Ok(bout) => {
                                 let d_backup = ctxs[b].sim.clock().saturating_sub(b0);
                                 let launch = deadline.ceil() as u64;
@@ -651,18 +652,15 @@ pub fn try_run_query_sharded(
                                     stats.wasted_cycles += spent_b;
                                 }
                             }
-                            Err(ExecError::DeviceLost(_)) => {
-                                // The backup's device died mid-
-                                // speculation; the primary stands.
-                                alive[b] = false;
-                                stats.wasted_cycles += ctxs[b].sim.clock().saturating_sub(b0);
-                            }
                             Err(e @ (ExecError::Timeout { .. } | ExecError::Cancelled)) => {
                                 return Err(e)
                             }
-                            Err(_) => {
+                            Err(e) => {
                                 // Any other backup failure leaves the
-                                // verified primary result standing.
+                                // verified primary result standing; a
+                                // backup device lost mid-speculation
+                                // leaves the pool.
+                                alive[b] &= !matches!(e, ExecError::DeviceLost(_));
                                 stats.wasted_cycles += ctxs[b].sim.clock().saturating_sub(b0);
                             }
                         }
@@ -740,40 +738,20 @@ pub fn try_run_query_sharded(
         }
     }
 
-    let store = agg_store.expect("plan must end in an aggregate stage");
-    let mut rows = store.into_rows();
+    let mut rows = agg_store
+        .expect("plan must end in an aggregate stage")
+        .into_rows();
     limits.check(total + stats.wasted_cycles)?;
-    if !plan.order_by.is_empty() {
-        // The sort runs on the final stage's primary device, disarmed
-        // like the single-device path: the output path cannot fault.
-        let ctx = &mut ctxs[primary];
-        let c0 = ctx.sim.clock();
-        let was_armed = ctx.sim.faults_armed();
-        ctx.sim.set_faults_armed(false);
-        let prof = run_sort_kernel(ctx, &mut rows, &plan.order_by);
-        ctx.sim.set_faults_armed(was_armed);
-        let wall = ctx.sim.clock().saturating_sub(c0);
+    // The sort runs on the final stage's primary device.
+    let c0 = ctxs[primary].sim.clock();
+    if let Some(prof) = sort_output(&mut ctxs[primary], plan, &mut rows) {
+        let wall = ctxs[primary].sim.clock().saturating_sub(c0);
         total += wall;
         stage_cycles.push(wall);
         dev_stages[primary].push(prof);
-    } else {
-        sort_rows(&mut rows, &[]);
     }
     limits.check(total + stats.wasted_cycles)?;
-    if let Some(limit) = plan.limit {
-        rows.truncate(limit);
-    }
-    if let Some(proj) = &plan.projection {
-        rows = rows
-            .into_iter()
-            .map(|r| proj.iter().map(|&i| r[i]).collect())
-            .collect();
-    }
-
-    let output = QueryOutput::new(
-        plan.output_columns.iter().map(String::as_str).collect(),
-        rows,
-    );
+    let output = shape_output(plan, rows);
     let per_device = ctxs
         .iter()
         .enumerate()
@@ -800,121 +778,45 @@ fn broadcast_bandwidth(spec: &DeviceSpec) -> u64 {
     (spec.mem_bytes_per_cycle * spec.num_cus as u64).max(1)
 }
 
-/// One shard on one device, through the recovery ladder: `1 +
-/// max_retries` attempts per mode down the degradation chain with
-/// deterministic backoff on this device's clock, then — when this is
-/// the shard's last candidate device — a disarmed last-resort KBE
-/// attempt. Device loss returns early so the caller can reassign.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_on_device(
-    ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    ir: &SegmentIr,
-    stage: &Stage,
-    cfg: &StageConfig,
-    mode: ExecMode,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
-    part: &[Range<usize>],
-    recovery: Option<&RecoveryPolicy>,
-    limits: &ExecLimits,
-    spent: u64,
-    stats: &mut RecoveryStats,
-    last_resort_here: bool,
-) -> Result<ShardOut, ExecError> {
-    let Some(policy) = recovery else {
-        return run_shard_attempt(ctx, plan, ir, stage, cfg, mode, hts, part);
-    };
-    let ladder = policy.ladder(mode);
-    let mut last_err: Option<ExecError> = None;
-    let mut first = true;
-    'modes: for &m in &ladder {
-        for attempt in 0..=policy.max_retries {
-            if !first {
-                if attempt == 0 {
-                    stats.fallbacks += 1;
-                    stats.degraded_to = Some(m);
-                } else {
-                    stats.retries += 1;
-                    let delay = policy.backoff_for(attempt);
-                    ctx.sim.advance(delay);
-                    stats.backoff_cycles += delay;
-                    stats.wasted_cycles += delay;
-                }
-            }
-            first = false;
-            limits.check(spent + stats.wasted_cycles)?;
-            let c0 = ctx.sim.clock();
-            match run_shard_attempt(ctx, plan, ir, stage, cfg, m, hts, part) {
-                Ok(out) => return Ok(out),
-                Err(e) => {
-                    let device_lost = matches!(e, ExecError::DeviceLost(_));
-                    match &e {
-                        ExecError::Fault(record)
-                        | ExecError::Oom(record)
-                        | ExecError::DeviceLost(record) => {
-                            stats.wasted_cycles += ctx.sim.clock().saturating_sub(c0);
-                            stats.faults.push(record.clone());
-                            last_err = Some(e);
-                        }
-                        // Query problems, not device problems.
-                        _ => return Err(e),
-                    }
-                    if device_lost {
-                        break 'modes;
-                    }
-                }
-            }
-        }
-    }
-    let lost = matches!(last_err, Some(ExecError::DeviceLost(_)));
-    if policy.fallback && (last_resort_here || !lost) {
-        stats.fallbacks += 1;
-        stats.degraded_to = Some(ExecMode::Kbe);
-        let was_armed = ctx.sim.faults_armed();
-        ctx.sim.set_faults_armed(false);
-        let result = run_shard_attempt(ctx, plan, ir, stage, cfg, ExecMode::Kbe, hts, part);
-        ctx.sim.set_faults_armed(was_armed);
-        return result;
-    }
-    Err(last_err.expect("at least one attempt ran"))
-}
-
 /// One attempt at one shard: fresh blocking outputs, every range of the
 /// shard's partition accumulated into them, terminal state handed back
-/// *owned* for the merge. Mirrors `exec::run_stage_attempt` with the
-/// leaf scan restricted to the shard's ranges. `GplPipelined` executes
-/// like `Gpl` (see [`try_run_query_sharded`]). Also the slice-attempt
-/// primitive of checkpoint resume (`exec::run_stage_checkpointed`),
-/// with `part` a single checkpoint slice.
-#[allow(clippy::too_many_arguments)]
+/// *owned* for the merge. `GplPipelined` executes like `Gpl` (see
+/// [`try_run_query_sharded`]). The one attempt primitive of the engine:
+/// a whole stage on one device is the single range `[0..rows]`, and a
+/// checkpoint slice is one slice's range.
 pub(crate) fn run_shard_attempt(
     ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    ir: &SegmentIr,
-    stage: &Stage,
-    cfg: &StageConfig,
+    job: StageJob,
     mode: ExecMode,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
     part: &[Range<usize>],
 ) -> Result<ShardOut, ExecError> {
     debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a shard");
-    let (build, agg) = make_blocking_outputs(ctx, plan, stage);
+    let (ir, stage) = (job.ir, job.stage);
+    let (build, agg) = make_blocking_outputs(ctx, job.plan, stage);
     let build_rc = build.as_ref().map(|(_, t)| t);
-    let mut profile = LaunchProfile::default();
+    // A single range keeps its launch's own profile (and cycle domain);
+    // several merge back to back.
+    let mut profile: Option<LaunchProfile> = None;
     for range in part {
         let p = match mode {
-            ExecMode::Kbe => {
-                kbe::run_stage_range(ctx, ir, stage, hts, build_rc, agg.as_ref(), range.clone())
-            }
+            ExecMode::Kbe => kbe::run_stage_range(
+                ctx,
+                ir,
+                stage,
+                job.hts,
+                build_rc,
+                agg.as_ref(),
+                range.clone(),
+            ),
             ExecMode::GplNoCe => {
-                let tiling = Tiling::by_bytes(range.len(), ir.row_bytes, cfg.tile_bytes);
+                let tiling = Tiling::by_bytes(range.len(), ir.row_bytes, job.cfg.tile_bytes);
                 let mut p = LaunchProfile::default();
                 for tile in tiling.iter() {
                     p.merge(&kbe::run_stage_range(
                         ctx,
                         ir,
                         stage,
-                        hts,
+                        job.hts,
                         build_rc,
                         agg.as_ref(),
                         range.start + tile.start..range.start + tile.end,
@@ -922,36 +824,22 @@ pub(crate) fn run_shard_attempt(
                 }
                 p
             }
-            ExecMode::Gpl | ExecMode::GplPipelined => gpl::run_stage_range(
-                ctx,
-                ir,
-                stage,
-                hts,
-                build_rc,
-                agg.as_ref(),
-                cfg,
-                range.clone(),
-            )?,
+            // A lone stage has no pair to overlap with: pipelined mode
+            // runs the plain GPL pipeline.
+            ExecMode::Gpl | ExecMode::GplPipelined => {
+                gpl::run_stage_range(ctx, job, build_rc, agg.as_ref(), range.clone())?
+            }
         };
-        profile.merge(&p);
+        match &mut profile {
+            Some(acc) => acc.merge(&p),
+            None => profile = Some(p),
+        }
         if let Some(record) = ctx.sim.take_fault() {
             return Err(ExecError::from_fault(record));
         }
     }
-    let built = build.map(|(slot, rc)| {
-        (
-            slot,
-            Rc::try_unwrap(rc)
-                .expect("hash table still shared")
-                .into_inner(),
-        )
-    });
-    let agg_store = agg.map(|a| {
-        Rc::try_unwrap(a)
-            .expect("aggregate store still shared")
-            .into_inner()
-    });
-    Ok((profile, built, agg_store))
+    let built = build.map(|(slot, rc)| (slot, unshare(rc)));
+    Ok((profile.unwrap_or_default(), built, agg.map(unshare)))
 }
 
 #[cfg(test)]

@@ -71,6 +71,11 @@ pub enum ServeError {
     /// The worker's circuit breaker is open: the request was rejected
     /// without touching the device while its fault streak cools down.
     CircuitOpen,
+    /// Executing the request panicked. The worker caught the panic,
+    /// answered with its message, and went on to the next request.
+    Internal {
+        msg: String,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -84,6 +89,7 @@ impl fmt::Display for ServeError {
             ServeError::CircuitOpen => {
                 write!(f, "circuit breaker open: device cooling down after faults")
             }
+            ServeError::Internal { msg } => write!(f, "internal error: {msg}"),
         }
     }
 }

@@ -21,6 +21,7 @@ use gpl_obs::Recorder;
 use gpl_sim::{DeviceSpec, FaultPlan, FaultSpec};
 use gpl_tpch::TpchDb;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -472,51 +473,53 @@ fn worker_loop(idx: usize, shared: &Shared, tx: &Sender<QueryResponse>) {
         shared.queued.fetch_sub(1, Ordering::Relaxed);
         shared.running.fetch_add(1, Ordering::Relaxed);
         let busy_t0 = Instant::now();
-        let resp = if let Some(sc) = &shared.sharding {
-            run_sharded_job(
-                idx,
-                shared,
-                sc,
-                job,
-                device_breakers.as_mut(),
-                &mut device_clocks,
-            )
-        } else {
-            let admitted = match breaker.as_mut() {
-                Some(b) => {
-                    let before = b.state();
-                    let admitted = b.admit(device_cycles);
-                    record_transition(shared, idx, None, device_cycles, before, b.state());
-                    admitted
-                }
-                None => true,
-            };
-            if !admitted {
-                let cfg = shared.breaker.as_ref().expect("breaker configured");
-                device_cycles += cfg.reject_cost_cycles;
-                shared.breaker_rejections.fetch_add(1, Ordering::Relaxed);
-                synthetic_response_on(idx, job, ServeError::CircuitOpen)
+        let resp = answer(idx, job, |job| {
+            if let Some(sc) = &shared.sharding {
+                run_sharded_job(
+                    idx,
+                    shared,
+                    sc,
+                    job,
+                    device_breakers.as_mut(),
+                    &mut device_clocks,
+                )
             } else {
-                let (resp, spent) = process(idx, shared, job);
-                device_cycles += spent;
-                if let Some(b) = breaker.as_mut() {
-                    let opens_before = b.stats().opens;
-                    let before = b.state();
-                    match &resp.result {
-                        Err(ServeError::Exec(e)) if e.is_device_fault() => {
-                            b.on_fault(device_cycles)
-                        }
-                        Err(_) => {} // query problem: no breaker signal
-                        Ok(_) => b.on_success(),
+                let admitted = match breaker.as_mut() {
+                    Some(b) => {
+                        let before = b.state();
+                        let admitted = b.admit(device_cycles);
+                        record_transition(shared, idx, None, device_cycles, before, b.state());
+                        admitted
                     }
-                    record_transition(shared, idx, None, device_cycles, before, b.state());
-                    shared
-                        .breaker_opens
-                        .fetch_add(b.stats().opens - opens_before, Ordering::Relaxed);
+                    None => true,
+                };
+                if !admitted {
+                    let cfg = shared.breaker.as_ref().expect("breaker configured");
+                    device_cycles += cfg.reject_cost_cycles;
+                    shared.breaker_rejections.fetch_add(1, Ordering::Relaxed);
+                    synthetic_response_on(idx, job, ServeError::CircuitOpen)
+                } else {
+                    let (resp, spent) = process(idx, shared, job);
+                    device_cycles += spent;
+                    if let Some(b) = breaker.as_mut() {
+                        let opens_before = b.stats().opens;
+                        let before = b.state();
+                        match &resp.result {
+                            Err(ServeError::Exec(e)) if e.is_device_fault() => {
+                                b.on_fault(device_cycles)
+                            }
+                            Err(_) => {} // query problem: no breaker signal
+                            Ok(_) => b.on_success(),
+                        }
+                        record_transition(shared, idx, None, device_cycles, before, b.state());
+                        shared
+                            .breaker_opens
+                            .fetch_add(b.stats().opens - opens_before, Ordering::Relaxed);
+                    }
+                    resp
                 }
-                resp
             }
-        };
+        });
         shared
             .busy_wall_ns
             .fetch_add(busy_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -527,6 +530,28 @@ fn worker_loop(idx: usize, shared: &Shared, tx: &Sender<QueryResponse>) {
             return;
         }
     }
+}
+
+/// Answer `job` with `run`'s response — or, when `run` panics, with
+/// [`ServeError::Internal`] carrying the panic message. Either way the
+/// job is answered exactly once and the worker survives to serve the
+/// next one.
+fn answer(idx: usize, job: Job, run: impl FnOnce(Job) -> QueryResponse) -> QueryResponse {
+    let (id, mode, submitted) = (job.req.id, job.req.mode, job.submitted);
+    catch_unwind(AssertUnwindSafe(|| run(job))).unwrap_or_else(|payload| {
+        let msg = match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or("non-string panic payload", |s| s)
+                .to_string(),
+        };
+        let job = Job {
+            req: QueryRequest::new(id, String::new(), mode),
+            submitted,
+        };
+        synthetic_response_on(idx, job, ServeError::Internal { msg })
+    })
 }
 
 /// What one sharded query did on one pool device, as seen by that
@@ -873,4 +898,42 @@ fn process_sharded(
         },
         outcomes,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpl_core::ExecMode;
+
+    fn job(id: u64) -> Job {
+        Job {
+            req: QueryRequest::new(id, "select 1", ExecMode::Gpl),
+            submitted: Instant::now(),
+        }
+    }
+
+    /// A panicking job is answered once, as `Internal` with its message,
+    /// and the jobs after it are still served.
+    #[test]
+    fn a_panicking_job_is_answered_and_the_worker_serves_on() {
+        let serve = |job: Job| {
+            if job.req.id == 1 {
+                panic!("executor invariant broken on q{}", job.req.id);
+            }
+            synthetic_response_on(0, job, ServeError::CircuitOpen)
+        };
+        let responses: Vec<QueryResponse> = (0..4).map(|id| answer(0, job(id), serve)).collect();
+        let ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3], "one response per submission");
+        assert_eq!(
+            responses[1].result,
+            Err(ServeError::Internal {
+                msg: "executor invariant broken on q1".into()
+            })
+        );
+        assert_eq!(responses[1].mode, ExecMode::Gpl);
+        for r in [&responses[0], &responses[2], &responses[3]] {
+            assert_eq!(r.result, Err(ServeError::CircuitOpen), "q{} served", r.id);
+        }
+    }
 }

@@ -493,6 +493,40 @@ fn transient_fault_mid_overlap_retries_the_fused_pair_bit_identically() {
 }
 
 #[test]
+fn fused_pair_without_fallback_surfaces_its_last_fault() {
+    // `no_fallback()` keeps the pipelined ladder at its one rung, so a
+    // fault inside the fused launch with no retries left must surface —
+    // not quietly degrade to the sequential pair.
+    let device = amd_a10();
+    let plan = gpl_repro::core::plan_for(&db(), QueryId::Q14);
+    let cfg = QueryConfig::default_for(&device, &plan).with_overlap_slices(2);
+    let mut spec = FaultSpec::none();
+    spec.pinned.push(PinnedFault {
+        kind: FaultKind::KernelFault,
+        kernel: "k_hash_build(ht0)".into(),
+        at_cycle: 0,
+    });
+    let mut ctx = ExecContext::with_shared(device, db());
+    ctx.sim.attach_faults(FaultPlan::new(spec, 0));
+    let err = try_run_query_recovering(
+        &mut ctx,
+        &plan,
+        ExecMode::GplPipelined,
+        &cfg,
+        &ExecLimits::none(),
+        Some(&RecoveryPolicy::with_retries(0).no_fallback()),
+    )
+    .expect_err("no retries and no fallback: the fused fault must surface");
+    match err {
+        ExecError::Fault(record) => {
+            assert_eq!(record.kind, FaultKind::KernelFault);
+            assert_eq!(record.kernel.as_deref(), Some("k_hash_build(ht0)"));
+        }
+        e => panic!("expected the pinned kernel fault, got {e}"),
+    }
+}
+
+#[test]
 fn channel_corruption_mid_overlap_degrades_to_the_sequential_pair() {
     // Corrupt every channel-using launch: the fused attempts (which use
     // the inter-segment publication channel) burn down, and the ladder
